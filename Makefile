@@ -79,11 +79,11 @@ bench:
 # stream-faults salvage case recovers >=99% deterministically, plus the
 # smoke-scaled merge-tree cases (10k ranks, 1M events) under the same
 # budgets; then one iteration of the hot-path microbenchmarks — including
-# the adversarial merge-tree interleavings — so their harness code cannot
-# rot
+# the adversarial merge-tree interleavings and the 1024-rank collective
+# matching census — so their harness code cannot rot
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke -workers 2 -o BENCH_PR10.json
-	$(GO) test -run XXX -bench 'BenchmarkStreamPipeline|BenchmarkMergeTree|BenchmarkEventCodec|BenchmarkMapTimeMonotone' -benchtime=1x .
+	$(GO) test -run XXX -bench 'BenchmarkStreamPipeline|BenchmarkMergeTree|BenchmarkCensusWide|BenchmarkEventCodec|BenchmarkMapTimeMonotone' -benchtime=1x .
 
 # the fault-tolerance suite on its own: resync framing, salvage,
 # cancellation, and fault-injection tests under the race detector

@@ -622,6 +622,38 @@ func BenchmarkMergeTree(b *testing.B) {
 	}
 }
 
+// BenchmarkCensusWide isolates collective matching at wide rank counts:
+// the census walk over a 1024-rank columnar trace with a collective
+// round every other step, about half of them N-to-N. Each N-to-N round
+// carries ranks·(ranks−1) logical in-edges, so the walk's cost is the
+// engine building those edge lists, not decoding or merging.
+func BenchmarkCensusWide(b *testing.B) {
+	var buf bytes.Buffer
+	spec := stream.SynthSpec{Ranks: 1024, Steps: 16, CollEvery: 2, Seed: 11,
+		Version: trace.Version2, FrameEvents: 64, Columnar: true}
+	if _, _, err := stream.Synth(spec, &buf); err != nil {
+		b.Fatal(err)
+	}
+	src, err := stream.NewSource(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var c analysis.Census
+	var events int64
+	for i := 0; i < b.N; i++ {
+		got, stats, err := stream.Census(src, stream.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, events = got, stats.Events
+	}
+	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(c.LogicalMessages), "logical/op")
+}
+
 // BenchmarkEventCodec: decode+re-encode round trip of the binary event
 // format through the batched public codec, the inner loop of every
 // streaming pass.

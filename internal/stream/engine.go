@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 
 	"tsync/internal/topology"
@@ -68,16 +70,55 @@ type instKey struct {
 	comm, inst int32
 }
 
-// instance is one open collective operation.
+// instance is one open collective operation, indexed by rank: slot and
+// ended have one entry per rank of the trace. Scanning slot in rank
+// order visits the participants in ascending rank order without
+// sorting. The begin records themselves sit in arrival order, so a
+// rank that never joins costs five bytes, not a whole record.
 type instance struct {
-	key    instKey
-	op     trace.CollOp
-	root   int32
-	begins map[int]sendEntry
-	ends   map[int]bool
-	// endsSeen guards against orderings the oracle-time merge cannot
-	// support (an edge tail arriving after one of its heads).
+	key  instKey
+	op   trace.CollOp
+	root int32
+	// slot[r] is 1 + the index of rank r's record in begins, or 0 while
+	// r has not begun the instance.
+	slot   []int32
+	ended  []bool
+	begins []sendEntry
+	// endsSeen counts ended ranks; it also guards against orderings the
+	// oracle-time merge cannot support (an edge tail arriving after one
+	// of its heads).
 	endsSeen int
+	// settled is the completion cursor: every rank below it has ended,
+	// moved past the instance on its communicator, or finished. None of
+	// the three ever reverts, so the cursor only advances.
+	settled int
+}
+
+func newInstance(k instKey, op trace.CollOp, root int32, ranks int) *instance {
+	return &instance{key: k, op: op, root: root, slot: make([]int32, ranks), ended: make([]bool, ranks)}
+}
+
+// begun returns rank r's begin record, or nil when r has not begun the
+// instance.
+func (ins *instance) begun(r int) *sendEntry {
+	if s := ins.slot[r]; s > 0 {
+		return &ins.begins[s-1]
+	}
+	return nil
+}
+
+// appendBegins appends one logical in-edge to rank r from every other
+// rank that began ins, in ascending rank order: sinks fold the in-edges
+// in slice order, and float folds are order-sensitive.
+func (e *engine) appendBegins(in []InEdge, ins *instance, r int) []InEdge {
+	for q, s := range ins.slot {
+		if s == 0 || q == r {
+			continue
+		}
+		rec := &ins.begins[s-1]
+		in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.lmin(q, r), Logical: true})
+	}
+	return in
 }
 
 // collClass partitions collective ops by their edge semantics.
@@ -299,7 +340,7 @@ func walk(ctx context.Context, src *Source, m timeMapper, snk sink, opt Options,
 		for _, ik := range sortedInstKeys(e.insts) {
 			ins := e.insts[ik]
 			return fmt.Errorf("stream: collective comm %d instance %d incomplete at end of trace (%d begins, %d ends)",
-				ins.key.comm, ins.key.inst, len(ins.begins), len(ins.ends))
+				ins.key.comm, ins.key.inst, len(ins.begins), ins.endsSeen)
 		}
 	}
 	return e.snk.flush()
@@ -340,16 +381,22 @@ func (e *engine) cleanupSalvage() error {
 	}
 	for _, ik := range sortedInstKeys(e.insts) {
 		ins := e.insts[ik]
-		for _, r := range sortedRanks(ins.begins) {
+		for r, s := range ins.slot {
+			if s == 0 {
+				continue
+			}
 			e.lossAt(r).BrokenCollectives++
-			if err := e.snk.final(ins.begins[r].ref); err != nil {
+			if err := e.snk.final(ins.begins[s-1].ref); err != nil {
 				return err
 			}
 			if err := e.acct.add(r, -1); err != nil {
 				return err
 			}
 		}
-		for _, r := range sortedRanks(ins.ends) {
+		for r, ok := range ins.ended {
+			if !ok {
+				continue
+			}
 			e.lossAt(r).BrokenCollectives++
 			if err := e.acct.add(r, -1); err != nil {
 				return err
@@ -357,9 +404,7 @@ func (e *engine) cleanupSalvage() error {
 		}
 		delete(e.insts, ik)
 	}
-	for comm := range e.open {
-		delete(e.open, comm)
-	}
+	clear(e.open)
 	return nil
 }
 
@@ -402,25 +447,17 @@ func sortedInstKeys(m map[instKey]*instance) []instKey {
 	return keys
 }
 
-// sortedRanks returns the keys of a per-rank map in ascending order.
-func sortedRanks[V any](m map[int]V) []int {
-	rs := make([]int, 0, len(m))
-	for r := range m {
-		rs = append(rs, r)
-	}
-	sort.Ints(rs)
-	return rs
-}
-
 // finishRank records a rank's exhaustion: the sink's rankDone callback
 // fires, then every communicator's open instances are re-checked — a
-// finished rank can complete instances it will never join.
+// finished rank can complete instances it will never join. Communicators
+// are visited in ascending order, so the first error and the order of
+// the sink's final calls do not depend on map order.
 func (e *engine) finishRank(r int) error {
 	e.done[r] = true
 	if err := e.snk.rankDone(r); err != nil {
 		return err
 	}
-	for comm := range e.open {
+	for _, comm := range slices.Sorted(maps.Keys(e.open)) {
 		if err := e.completeInstances(comm); err != nil {
 			return err
 		}
@@ -537,9 +574,9 @@ func (e *engine) process(r int) error {
 	case trace.CollEnd:
 		ins, err := e.instanceFor(r, ev, false)
 		if err == nil {
-			if _, ok := ins.begins[r]; !ok {
+			if ins.begun(r) == nil {
 				err = fmt.Errorf("stream: rank %d ended collective comm %d instance %d without beginning it", r, ev.Comm, ev.Instance)
-			} else if ins.ends[r] {
+			} else if ins.ended[r] {
 				err = fmt.Errorf("stream: rank %d has duplicate CollEnd for comm %d instance %d", r, ev.Comm, ev.Instance)
 			}
 		}
@@ -553,34 +590,22 @@ func (e *engine) process(r int) error {
 			orphanEnd = true
 			break
 		}
+		// the root comes from the trace bytes: out of range, it names no
+		// participant
 		root := int(ins.root)
 		switch classOf(ins.op) {
 		case oneToN:
-			if r != root {
-				if rb, ok := ins.begins[root]; ok {
+			if r != root && root >= 0 && root < len(ins.slot) {
+				if rb := ins.begun(root); rb != nil {
 					in = append(in, InEdge{From: rb.ref, Data: rb.data, LMin: e.lmin(root, r), Logical: true})
 				}
 			}
 		case nToOne:
 			if r == root {
-				// ascending-rank edge order: sinks fold the in-edges in
-				// slice order, and float folds are order-sensitive
-				for _, q := range sortedRanks(ins.begins) {
-					if q == r {
-						continue
-					}
-					rec := ins.begins[q]
-					in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.lmin(q, r), Logical: true})
-				}
+				in = e.appendBegins(in, ins, r)
 			}
 		case nToN:
-			for _, q := range sortedRanks(ins.begins) {
-				if q == r {
-					continue
-				}
-				rec := ins.begins[q]
-				in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.lmin(q, r), Logical: true})
-			}
+			in = e.appendBegins(in, ins, r)
 		}
 	}
 
@@ -611,7 +636,7 @@ func (e *engine) process(r int) error {
 	case trace.CollBegin:
 		ins, err := e.instanceFor(r, ev, true)
 		if err == nil {
-			if _, dup := ins.begins[r]; dup {
+			if ins.begun(r) != nil {
 				err = fmt.Errorf("stream: rank %d has duplicate CollBegin for comm %d instance %d", r, ev.Comm, ev.Instance)
 			} else if ins.endsSeen > 0 && classOf(ins.op) != oneToN && !e.sal {
 				err = fmt.Errorf("stream: rank %d began collective comm %d instance %d after an end was processed (oracle-order violation)", r, ev.Comm, ev.Instance)
@@ -629,7 +654,8 @@ func (e *engine) process(r int) error {
 			}
 			break
 		}
-		ins.begins[r] = sendEntry{ref: ref, data: data, tru: ev.True}
+		ins.begins = append(ins.begins, sendEntry{ref: ref, data: data, tru: ev.True})
+		ins.slot[r] = int32(len(ins.begins))
 		if err := e.acct.add(r, 1); err != nil {
 			return err
 		}
@@ -644,7 +670,7 @@ func (e *engine) process(r int) error {
 			break
 		}
 		ins := e.insts[instKey{ev.Comm, ev.Instance}]
-		ins.ends[r] = true
+		ins.ended[r] = true
 		ins.endsSeen++
 		if err := e.acct.add(r, 1); err != nil {
 			return err
@@ -672,7 +698,7 @@ func (e *engine) instanceFor(r int, ev *trace.Event, create bool) (*instance, er
 		if !create {
 			return nil, fmt.Errorf("stream: rank %d ended collective comm %d instance %d without beginning it", r, ev.Comm, ev.Instance)
 		}
-		ins = &instance{key: k, op: ev.Op, root: ev.Root, begins: map[int]sendEntry{}, ends: map[int]bool{}}
+		ins = newInstance(k, ev.Op, ev.Root, e.src.Ranks())
 		e.insts[k] = ins
 		e.open[ev.Comm] = append(e.open[ev.Comm], ins)
 	}
@@ -704,42 +730,51 @@ func (e *engine) touchColl(r int, comm, inst int32) error {
 // completeInstances finalizes every open instance of comm that no rank
 // can join or extend anymore: each rank has either delivered its end,
 // moved past the instance on this communicator, or finished its stream.
+// Each instance's settled cursor resumes where the previous check
+// stopped. Since settledness never reverts, the cursor stops at the same
+// lowest unsettled rank a scan from rank 0 would, and a rank that began
+// but settled without ending is reported when the cursor first reaches
+// it — the same event at which a full rescan would report it.
 func (e *engine) completeInstances(comm int32) error {
 	openList := e.open[comm]
 	kept := openList[:0]
 	seen := e.lastColl[comm]
 	for _, ins := range openList {
-		complete := true
-		for r := 0; r < e.src.Ranks(); r++ {
-			if ins.ends[r] {
+		for ; ins.settled < len(ins.ended); ins.settled++ {
+			r := ins.settled
+			if ins.ended[r] {
 				continue
 			}
-			past := e.done[r] || (seen != nil && seen[r] > ins.key.inst)
-			if !past {
-				complete = false
+			if !e.done[r] && (seen == nil || seen[r] <= ins.key.inst) {
 				break
 			}
-			if _, begun := ins.begins[r]; begun && !e.sal {
+			if ins.slot[r] > 0 && !e.sal {
 				return fmt.Errorf("stream: rank %d began collective comm %d instance %d but never ended it", r, comm, ins.key.inst)
 			}
 		}
-		if !complete {
+		if ins.settled < len(ins.ended) {
 			kept = append(kept, ins)
 			continue
 		}
-		for r, rec := range ins.begins {
-			if e.sal && !ins.ends[r] {
+		for r, s := range ins.slot {
+			if s == 0 {
+				continue
+			}
+			if e.sal && !ins.ended[r] {
 				// the rank's end was lost in a gap; release the begin
 				e.lossAt(r).BrokenCollectives++
 			}
-			if err := e.snk.final(rec.ref); err != nil {
+			if err := e.snk.final(ins.begins[s-1].ref); err != nil {
 				return err
 			}
 			if err := e.acct.add(r, -1); err != nil {
 				return err
 			}
 		}
-		for r := range ins.ends {
+		for r, ok := range ins.ended {
+			if !ok {
+				continue
+			}
 			if err := e.acct.add(r, -1); err != nil {
 				return err
 			}

@@ -7,6 +7,7 @@ package stream_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -401,5 +402,55 @@ func TestSpillAbortCleanup(t *testing.T) {
 	}
 	for _, e := range ents {
 		t.Errorf("leftover temp entry after aborted run: %s", e.Name())
+	}
+}
+
+// TestSalvageRankBound: salvage stands in placeholders for ranks whose
+// sections were lost, but only as many as the bytes could have held. A
+// header declaring 2²⁰ processes over two small proc blocks, or a proc
+// block naming rank 2¹⁹ right after rank 0, is corruption, not hundreds
+// of thousands of lost ranks.
+func TestSalvageRankBound(t *testing.T) {
+	// v2 traces of empty processes, whose header then declares n
+	// processes: the declared count is the varint just before the first
+	// block marker
+	build := func(ranks []int, n uint64) []byte {
+		var buf bytes.Buffer
+		ew, err := trace.NewEventWriterOpts(&buf, trace.Header{Machine: "hand", ProcCount: len(ranks)},
+			trace.WriterOptions{Version: trace.Version2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range ranks {
+			if err := ew.BeginProc(trace.ProcHeader{Rank: r}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ew.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		m := bytes.Index(data, []byte{0xF4, 'T', 'R', 'F'})
+		if m < 1 || data[m-1] != byte(len(ranks)) {
+			t.Fatalf("no process count before the first block marker at %d", m)
+		}
+		return append(binary.AppendUvarint(append([]byte(nil), data[:m-1]...), n), data[m:]...)
+	}
+	for name, in := range map[string][]byte{
+		"tail": build([]int{0, 1}, 1<<20),
+		"jump": build([]int{0, 1 << 19}, 1<<19+1),
+	} {
+		_, err := stream.NewSourceOpts(bytes.NewReader(in), stream.SourceOptions{Salvage: true})
+		if !errors.Is(err, trace.ErrBadFormat) {
+			t.Errorf("%s: want ErrBadFormat, got %v", name, err)
+		}
+	}
+	// a lost tail the bytes could have held is still salvaged
+	src, err := stream.NewSourceOpts(bytes.NewReader(build([]int{0, 1}, 3)), stream.SourceOptions{Salvage: true})
+	if err != nil {
+		t.Fatalf("plausible lost tail: %v", err)
+	}
+	if src.Ranks() != 3 || !src.Losses()[2].Unknown {
+		t.Errorf("plausible lost tail: %d ranks, losses %+v", src.Ranks(), src.Losses())
 	}
 }

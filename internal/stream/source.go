@@ -76,10 +76,6 @@ func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Sou
 		return nil, err
 	}
 	s := &Source{r: r, head: er.Header(), pol: pol, version: er.Version()}
-	s.loss = make([]RankLoss, s.head.ProcCount)
-	for i := range s.loss {
-		s.loss[i].Rank = i
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -91,7 +87,7 @@ func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Sou
 		if err != nil {
 			return nil, err
 		}
-		if err := s.admitRank(ph.Rank, o.Salvage); err != nil {
+		if err := s.admitRank(ph.Rank, o.Salvage, er.Position()); err != nil {
 			return nil, err
 		}
 		declared := ph.EventCount
@@ -136,22 +132,26 @@ func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Sou
 		s.eventOff = append(s.eventOff, start)
 		s.endOff = append(s.endOff, er.Position())
 		s.firstRaw = append(s.firstRaw, first)
-		if ph.Rank < len(s.loss) {
-			l := &s.loss[ph.Rank]
-			switch {
-			case declared < 0:
-				l.Unknown = true
-			case declared > n:
-				l.LostEvents += int64(declared - n)
-			}
+		l := RankLoss{Rank: ph.Rank}
+		switch {
+		case declared < 0:
+			l.Unknown = true
+		case declared > n:
+			l.LostEvents = int64(declared - n)
 		}
+		s.loss = append(s.loss, l)
 	}
 	// ranks missing at the tail (their headers and frames all lost)
-	for r := len(s.procs); r < s.head.ProcCount; r++ {
+	if len(s.procs) < s.head.ProcCount {
 		if !o.Salvage {
 			return nil, fmt.Errorf("%w: trace declares %d processes, found %d", trace.ErrBadFormat, s.head.ProcCount, len(s.procs))
 		}
-		s.placeholderRank(r)
+		if end := er.Position(); int64(s.head.ProcCount)*minProcBytes > end {
+			return nil, fmt.Errorf("%w: trace declares %d processes, more than its %d bytes can hold", trace.ErrBadFormat, s.head.ProcCount, end)
+		}
+		for r := len(s.procs); r < s.head.ProcCount; r++ {
+			s.placeholderRank(r)
+		}
 	}
 	s.rep = *er.Report()
 	for _, inc := range s.rep.Incidents {
@@ -164,10 +164,21 @@ func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Sou
 	return s, nil
 }
 
+// minProcBytes is the smallest encoding of one process section: a v1
+// process header (rank, three core varints, an empty clock string, an
+// event count) and no events; a v2 proc block is larger. Sections are
+// stored in rank order, so rank r's section cannot end before byte
+// (r+1)·minProcBytes. Salvage stands in placeholders for lost ranks
+// only up to that bound: a rank number the bytes read so far could not
+// reach is corruption, and trusting it would let a few bytes claim
+// millions of placeholder ranks' worth of memory.
+const minProcBytes = 6
+
 // admitRank enforces that processes appear in contiguous rank order,
 // filling ranks whose sections were lost entirely with empty
-// placeholders under salvage.
-func (s *Source) admitRank(rank int, salvage bool) error {
+// placeholders under salvage. pos is the reader's position just past
+// the process header.
+func (s *Source) admitRank(rank int, salvage bool, pos int64) error {
 	next := len(s.procs)
 	if rank < next || rank >= s.head.ProcCount {
 		return fmt.Errorf("stream: proc %d has rank %d", next, rank)
@@ -177,6 +188,9 @@ func (s *Source) admitRank(rank int, salvage bool) error {
 	}
 	if !salvage {
 		return fmt.Errorf("stream: proc %d has rank %d", next, rank)
+	}
+	if int64(rank+1)*minProcBytes > pos {
+		return fmt.Errorf("%w: proc %d has rank %d, more processes than %d bytes can hold", trace.ErrBadFormat, next, rank, pos)
 	}
 	for r := next; r < rank; r++ {
 		s.placeholderRank(r)
@@ -191,9 +205,7 @@ func (s *Source) placeholderRank(r int) {
 	s.eventOff = append(s.eventOff, 0)
 	s.endOff = append(s.endOff, 0)
 	s.firstRaw = append(s.firstRaw, 0)
-	if r < len(s.loss) {
-		s.loss[r].Unknown = true
-	}
+	s.loss = append(s.loss, RankLoss{Rank: r, Unknown: true})
 }
 
 // Header returns the file header.
@@ -254,6 +266,11 @@ type Cursor struct {
 // the cursor re-resynchronizes over the same section with the same
 // policy, so it retains exactly the events the index pass counted.
 func (s *Source) Cursor(rank int) *Cursor {
+	if s.procs[rank].EventCount == 0 {
+		// nothing to decode: skip the decoder and its read buffer, which
+		// a trace with many empty or lost ranks would pay once per rank
+		return &Cursor{}
+	}
 	sec := io.NewSectionReader(s.r, s.eventOff[rank], s.endOff[rank]-s.eventOff[rank])
 	var d eventDecoder
 	if s.version == trace.Version2 {
